@@ -1,5 +1,6 @@
-// Shared helpers for the figure-reproduction benches: tiny argument
-// parsing (--quick / --full / --seed N), table printing.
+// Shared helpers for the figure-reproduction benches: strict argument
+// parsing (--quick / --full / --seed N / --jobs N / --metrics-out PATH,
+// plus each bench's own flags), table printing.
 //
 // Figure benches are plain executables (not google-benchmark binaries):
 // each one runs a simulation campaign and prints the same rows/series the
@@ -7,10 +8,15 @@
 // regenerates the whole evaluation section.
 #pragma once
 
+#include <algorithm>
+#include <cctype>
+#include <cerrno>
 #include <cstdint>
 #include <cstdio>
-#include <cstring>
+#include <cstdlib>
 #include <string>
+#include <string_view>
+#include <variant>
 #include <vector>
 
 #include "obs/metrics.hpp"
@@ -31,23 +37,76 @@ struct BenchArgs {
   std::string metrics_out;
 };
 
-inline BenchArgs parse_args(int argc, char** argv) {
+/// A bench-specific flag accepted on top of the common ones: a switch
+/// (sets the bool), a path (stores the string) or a worker count (stores
+/// the number; 0 reads as 1).
+struct Flag {
+  const char* name;
+  std::variant<bool*, std::string*, std::size_t*> target;
+};
+
+/// Parses the common flags plus `extra`. An unknown flag, a missing value
+/// or a malformed number prints the usage line and exits with status 2,
+/// before any work starts.
+inline BenchArgs parse_args(int argc, char** argv,
+                            const std::vector<Flag>& extra = {}) {
+  const auto fail = [&](const char* problem, const char* flag) {
+    std::fprintf(stderr,
+                 "%s: %s %s\nusage: %s [--quick | --full] [--seed N] "
+                 "[--jobs N] [--metrics-out PATH]",
+                 argv[0], problem, flag, argv[0]);
+    for (const Flag& f : extra) {
+      const char* operand = std::holds_alternative<bool*>(f.target) ? ""
+                            : std::holds_alternative<std::string*>(f.target)
+                                ? " PATH"
+                                : " N";
+      std::fprintf(stderr, " [%s%s]", f.name, operand);
+    }
+    std::fprintf(stderr, "\n");
+    std::exit(2);
+  };
+  const auto value = [&](int& i) -> const char* {
+    if (i + 1 >= argc) fail("missing value for", argv[i]);
+    return argv[++i];
+  };
+  const auto number = [&](int& i) -> std::uint64_t {
+    const char* flag = argv[i];
+    const char* text = value(i);
+    char* end = nullptr;
+    errno = 0;
+    const unsigned long long n = std::strtoull(text, &end, 10);
+    if (!std::isdigit(static_cast<unsigned char>(text[0])) || *end != '\0' ||
+        errno == ERANGE) {
+      fail("expected a non-negative integer for", flag);
+    }
+    return n;
+  };
+
   BenchArgs args;
   for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--quick") == 0) args.scale = 0;
-    if (std::strcmp(argv[i], "--full") == 0) args.scale = 2;
-    if (std::strcmp(argv[i], "--seed") == 0 && i + 1 < argc) {
-      args.seed = std::strtoull(argv[i + 1], nullptr, 10);
-      ++i;
-    }
-    if (std::strcmp(argv[i], "--jobs") == 0 && i + 1 < argc) {
-      args.jobs = std::strtoull(argv[i + 1], nullptr, 10);
-      if (args.jobs == 0) args.jobs = 1;
-      ++i;
-    }
-    if (std::strcmp(argv[i], "--metrics-out") == 0 && i + 1 < argc) {
-      args.metrics_out = argv[i + 1];
-      ++i;
+    const std::string_view arg = argv[i];
+    if (arg == "--quick") {
+      args.scale = 0;
+    } else if (arg == "--full") {
+      args.scale = 2;
+    } else if (arg == "--seed") {
+      args.seed = number(i);
+    } else if (arg == "--jobs") {
+      args.jobs = std::max<std::size_t>(number(i), 1);
+    } else if (arg == "--metrics-out") {
+      args.metrics_out = value(i);
+    } else {
+      const auto f = std::find_if(extra.begin(), extra.end(),
+                                  [&](const Flag& e) { return arg == e.name; });
+      if (f == extra.end()) fail("unknown flag", argv[i]);
+      if (auto* on = std::get_if<bool*>(&f->target)) {
+        **on = true;
+      } else if (auto* text = std::get_if<std::string*>(&f->target)) {
+        **text = value(i);
+      } else {
+        auto* count = std::get_if<std::size_t*>(&f->target);
+        **count = std::max<std::size_t>(number(i), 1);
+      }
     }
   }
   return args;

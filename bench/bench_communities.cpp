@@ -31,8 +31,6 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <memory>
 #include <string>
 #include <vector>
@@ -127,18 +125,10 @@ Row run_row(workload::Scenario& s, const overlay::CommunityMap* map,
 }  // namespace
 
 int main(int argc, char** argv) {
-  const BenchArgs args = parse_args(argc, argv);
   std::string json_out = "BENCH_communities.json";
   std::size_t build_jobs = 1;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--json-out") == 0 && i + 1 < argc) {
-      json_out = argv[i + 1];
-      ++i;
-    } else if (std::strcmp(argv[i], "--build-jobs") == 0 && i + 1 < argc) {
-      build_jobs = std::size_t(std::max(1, std::atoi(argv[i + 1])));
-      ++i;
-    }
-  }
+  const BenchArgs args = parse_args(
+      argc, argv, {{"--json-out", &json_out}, {"--build-jobs", &build_jobs}});
 
   const std::vector<std::size_t> peer_counts =
       args.scale == 0 ? std::vector<std::size_t>{1000}

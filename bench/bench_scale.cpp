@@ -27,8 +27,6 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <limits>
 #include <string>
 #include <vector>
@@ -140,21 +138,13 @@ XlBudget xl_budget_for(std::size_t max_peers, std::size_t scale) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const BenchArgs args = parse_args(argc, argv);
   std::string json_out = "BENCH_scale.json";
   bool xl = false;
   std::size_t build_jobs = 1;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--json-out") == 0 && i + 1 < argc) {
-      json_out = argv[i + 1];
-      ++i;
-    } else if (std::strcmp(argv[i], "--xl") == 0) {
-      xl = true;
-    } else if (std::strcmp(argv[i], "--build-jobs") == 0 && i + 1 < argc) {
-      build_jobs = std::max(1, std::atoi(argv[i + 1]));
-      ++i;
-    }
-  }
+  const BenchArgs args =
+      parse_args(argc, argv,
+                 {{"--json-out", &json_out}, {"--xl", &xl},
+                  {"--build-jobs", &build_jobs}});
 
   const std::vector<std::size_t> peer_counts =
       xl ? (args.scale == 2 ? std::vector<std::size_t>{500000, 1000000}

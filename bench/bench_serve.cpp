@@ -38,7 +38,6 @@
 // after quiesce the allocator holds zero grants and zero holds.
 #include <chrono>
 #include <cstdio>
-#include <cstring>
 #include <deque>
 #include <string>
 #include <vector>
@@ -286,14 +285,8 @@ CellResult run_cell(const CellSpec& spec, std::uint64_t cell_index,
 }  // namespace
 
 int main(int argc, char** argv) {
-  const BenchArgs args = parse_args(argc, argv);
   std::string json_out = "BENCH_serve.json";
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--json-out") == 0 && i + 1 < argc) {
-      json_out = argv[i + 1];
-      ++i;
-    }
-  }
+  const BenchArgs args = parse_args(argc, argv, {{"--json-out", &json_out}});
 
   const ServeParams params = params_for(args.scale);
   const std::vector<CellSpec> cells{

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <deque>
-#include <memory>
 #include <unordered_map>
 #include <unordered_set>
 
@@ -31,8 +30,7 @@ namespace {
 /// metric's noise/jitter terms are derived from a per-request salt and
 /// the (observer peer, candidate) pair, NOT from a shared RNG stream:
 /// an estimate error is a property of who measures whom, and hashing
-/// makes composition results independent of probe processing order (the
-/// synchronous and message-level modes decide identically).
+/// makes composition results independent of probe processing order.
 double unit_hash(std::uint64_t x) {
   x += 0x9e3779b97f4a7c15ULL;
   x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
@@ -80,8 +78,8 @@ struct BcpEngine::Probe {
   int budget = 1;
   /// Deterministic delivery-sampling key. Derived from the request salt
   /// and the probe's (pattern, branch, chosen-component) path — NOT from
-  /// processing order — so fault outcomes are identical between the
-  /// synchronous and message-level modes.
+  /// processing order — so fault outcomes do not depend on the order
+  /// probes are processed in.
   std::uint64_t fault_key = 0;
   /// Chosen prefix of the branch: component, per-hop holds and leg timing
   /// live in immutable shared PathSegments (probe_path.hpp), so copying a
@@ -99,16 +97,13 @@ struct BcpEngine::DiscoveryEntry {
   double time_ms = 0.0;
 };
 
-/// Everything one in-flight composition owns. The synchronous path keeps
-/// it on the stack; the message-level path keeps it alive on the heap
-/// until the last event fires.
+/// Everything one composition owns; compose() keeps it on the stack.
 struct BcpEngine::ComposeState {
   /// Backs every probe's prefix chain for this request. Declared first:
-  /// members below (seeds, arrived, queued probes in the drivers) hold
-  /// PathRefs into it and must be destroyed before it.
+  /// members below (seeds, arrived) hold PathRefs into it and must be
+  /// destroyed before it.
   PathArena arena;
   service::CompositeRequest request;
-  Rng* rng = nullptr;
   std::uint64_t noise_salt = 0;  ///< seeds the hashed metric noise/jitter
   ComposeResult result;
   sim::Time hold_expiry = 0.0;
@@ -138,6 +133,20 @@ struct BcpEngine::HopDelivery {
   /// Retransmission waits + link jitter — added to the probe's arrival
   /// time (setup latency) but not to its measured path QoS.
   double added_latency_ms = 0.0;
+};
+
+/// One destination-merged candidate: a replica per pattern node plus the
+/// arrived probes (one per branch) it was joined from.
+struct BcpEngine::MergedGraph {
+  std::size_t pattern_idx = 0;
+  std::vector<ComponentMetadata> mapping;  // per pattern node
+  std::vector<const Probe*> probes;
+};
+
+/// A QoS-qualified, evaluated graph and the soft holds backing it.
+struct BcpEngine::QualifiedGraph {
+  ServiceGraph graph;
+  std::vector<HoldId> holds;
 };
 
 const BcpEngine::DiscoveryEntry& BcpEngine::discover(ComposeState& state,
@@ -341,7 +350,6 @@ bool BcpEngine::init_state(ComposeState& state,
   if (!ov.alive(request.source) || !ov.alive(request.dest)) return false;
 
   state.request = request;
-  state.rng = &rng;
   state.noise_salt = rng();  // one draw per request; see unit_hash
   state.hold_expiry = sim_->now() + config_.probe_timeout_ms;
   state.own_view.base = alloc_;
@@ -413,150 +421,56 @@ bool BcpEngine::init_state(ComposeState& state,
   return !state.seeds.empty();
 }
 
+void BcpEngine::trace_drop(const Probe& probe, const char* reason) {
+  if (trace_ == nullptr) return;
+  obs::TraceRecord rec;
+  rec.event = obs::TraceEvent::kProbeDropped;
+  rec.time_ms = probe.arrival;
+  rec.pattern = std::int64_t(probe.pattern_idx);
+  rec.branch = std::int64_t(probe.branch_idx);
+  rec.peer = std::int64_t(probe.at);
+  rec.note = reason;
+  trace_->record(std::move(rec));
+}
+
+void BcpEngine::trace_skip(const Probe& parent, FnNode node, PeerId host,
+                           const char* reason) {
+  if (trace_ == nullptr) return;
+  obs::TraceRecord rec;
+  rec.event = obs::TraceEvent::kCandidateSkipped;
+  rec.time_ms = parent.arrival;
+  rec.pattern = std::int64_t(parent.pattern_idx);
+  rec.branch = std::int64_t(parent.branch_idx);
+  rec.node = std::int64_t(node);
+  rec.peer = std::int64_t(host);
+  rec.note = reason;
+  trace_->record(std::move(rec));
+}
+
+void BcpEngine::trace_hold(obs::TraceEvent event, double t, FnNode node,
+                           HoldId hold) {
+  if (trace_ == nullptr) return;
+  obs::TraceRecord rec;
+  rec.event = event;
+  rec.time_ms = t;
+  rec.node = std::int64_t(node);
+  rec.value = double(hold);
+  trace_->record(std::move(rec));
+}
+
 void BcpEngine::process_probe(ComposeState& state, Probe probe,
                               std::vector<Probe>* out_children) {
   auto& ov = deployment_->overlay();
-  ComposeStats& stats = state.result.stats;
-  const service::CompositeRequest& request = state.request;
-  (void)state.rng;  // metric noise is hashed, not drawn (see unit_hash)
   const auto& branch = state.branches[probe.pattern_idx][probe.branch_idx];
-  const auto& pattern = state.patterns[probe.pattern_idx];
-
-  // Trace emitters (no-ops without an attached trace).
-  auto trace_drop = [&](const Probe& p, const char* reason) {
-    if (trace_ == nullptr) return;
-    obs::TraceRecord rec;
-    rec.event = obs::TraceEvent::kProbeDropped;
-    rec.time_ms = p.arrival;
-    rec.pattern = std::int64_t(p.pattern_idx);
-    rec.branch = std::int64_t(p.branch_idx);
-    rec.peer = std::int64_t(p.at);
-    rec.note = reason;
-    trace_->record(std::move(rec));
-  };
-  auto trace_skip = [&](FnNode node, PeerId host, const char* reason) {
-    if (trace_ == nullptr) return;
-    obs::TraceRecord rec;
-    rec.event = obs::TraceEvent::kCandidateSkipped;
-    rec.time_ms = probe.arrival;
-    rec.pattern = std::int64_t(probe.pattern_idx);
-    rec.branch = std::int64_t(probe.branch_idx);
-    rec.node = std::int64_t(node);
-    rec.peer = std::int64_t(host);
-    rec.note = reason;
-    trace_->record(std::move(rec));
-  };
-  auto trace_hold = [&](obs::TraceEvent event, double t, FnNode node,
-                        HoldId hold) {
-    if (trace_ == nullptr) return;
-    obs::TraceRecord rec;
-    rec.event = event;
-    rec.time_ms = t;
-    rec.node = std::int64_t(node);
-    rec.value = double(hold);
-    trace_->record(std::move(rec));
-  };
-
   if (probe.prefix.depth() == branch.size()) {
-    // Final leg: stream exits the last component toward the destination.
-    ++stats.probe_messages;
-    const FnNode last = branch.back();
-    double leg_delay = 0.0;
-    double leg_extra = 0.0;  ///< retransmission waits + jitter
-    if (probe.at != request.dest) {
-      const overlay::OverlayPathRef path = ov.route(probe.at, request.dest);
-      if (!path->valid) {
-        ++stats.probes_dropped_resources;
-        trace_drop(probe, "no_route_to_dest");
-        return;
-      }
-      leg_delay = path->delay_ms;
-      if (request.bandwidth_kbps > 0.0 && !path->links.empty()) {
-        if (!config_.soft_allocation) {
-          // Check-only mode (ablation A4): no reservation is made.
-          if (alloc_->path_available_kbps(*path) <
-              request.bandwidth_kbps) {
-            ++stats.probes_dropped_resources;
-            trace_drop(probe, "dest_leg_bandwidth");
-            return;
-          }
-        } else {
-          const SharedPathKey skey{last, ServiceLinkHop::kEndpoint, probe.at,
-                                   request.dest};
-          auto existing = state.shared_path_holds.find(skey);
-          if (existing != state.shared_path_holds.end()) {
-            ++stats.holds_reused;
-            trace_hold(obs::TraceEvent::kHoldReused, probe.arrival, last,
-                       existing->second);
-            probe.dest_hold.emplace(
-                HoldCoverKey::edge(last, ServiceLinkHop::kEndpoint),
-                existing->second);
-          } else {
-            auto hold = alloc_->soft_reserve_path(
-                *path, request.bandwidth_kbps, state.hold_expiry);
-            if (!hold.has_value()) {
-              ++stats.probes_dropped_resources;
-              trace_drop(probe, "dest_leg_bandwidth");
-              return;
-            }
-            ++stats.holds_acquired;
-            trace_hold(obs::TraceEvent::kHoldAcquired, probe.arrival, last,
-                       *hold);
-            state.all_holds.push_back(*hold);
-            state.shared_path_holds.emplace(skey, *hold);
-            for (auto link : path->links) {
-              state.own_view.link_extra[link] += request.bandwidth_kbps;
-            }
-            probe.dest_hold.emplace(
-                HoldCoverKey::edge(last, ServiceLinkHop::kEndpoint), *hold);
-          }
-        }
-      }
-      // The probe message itself must survive the trip (holds a lost
-      // probe left behind are reclaimed by finalize's cleanup, exactly
-      // like the paper's timeout-based cancellation).
-      const HopDelivery hd = deliver_hop(
-          state, *path, util::hash_values(probe.fault_key, 0x0fu),
-          &probe.budget);
-      if (!hd.delivered) {
-        ++stats.probes_dropped_lost;
-        trace_drop(probe, "msg_lost");
-        return;
-      }
-      leg_extra = hd.added_latency_ms;
-    }
-    probe.arrival += config_.per_hop_processing_ms + leg_delay + leg_extra;
-    probe.qos_acc[Qos::kDelay] += leg_delay;
-    if (probe.arrival > config_.probe_timeout_ms) {
-      ++stats.probes_dropped_timeout;
-      trace_drop(probe, "timeout");
-      return;
-    }
-    if (!probe.qos_acc.within(request.qos_req) ||
-        probe.level < request.min_dest_level) {
-      ++stats.probes_dropped_qos;
-      trace_drop(probe, "qos_violation");
-      return;
-    }
-    probe.final_leg_done = true;
-    ++stats.probes_arrived;
-    if (trace_ != nullptr) {
-      obs::TraceRecord rec;
-      rec.event = obs::TraceEvent::kHopTaken;
-      rec.time_ms = probe.arrival;
-      rec.pattern = std::int64_t(probe.pattern_idx);
-      rec.branch = std::int64_t(probe.branch_idx);
-      rec.peer = std::int64_t(request.dest);
-      rec.note = "arrived";
-      trace_->record(std::move(rec));
-    }
-    state.arrived.push_back(std::move(probe));
+    finish_at_dest(state, std::move(probe));
     return;
   }
 
   // Step 2.2/2.3: next-hop function & replica selection.
   const FnNode next_node = branch[probe.prefix.depth()];
-  const service::FunctionId fn = pattern.function(next_node);
+  const service::FunctionId fn =
+      state.patterns[probe.pattern_idx].function(next_node);
   const DiscoveryEntry& disc = discover(state, probe.at, fn);
 
   std::vector<const ComponentMetadata*> candidates;
@@ -568,11 +482,118 @@ void BcpEngine::process_probe(ComposeState& state, Probe probe,
     }
   }
   if (candidates.empty() || probe.budget < 1) {
-    ++stats.probes_dropped_resources;
+    ++state.result.stats.probes_dropped_resources;
     trace_drop(probe, candidates.empty() ? "no_candidates" : "no_budget");
     return;
   }
+  rank_candidates(state, probe, &candidates);
+  fan_out(state, probe, next_node, disc.time_ms, candidates, out_children);
+}
 
+void BcpEngine::finish_at_dest(ComposeState& state, Probe probe) {
+  auto& ov = deployment_->overlay();
+  ComposeStats& stats = state.result.stats;
+  const service::CompositeRequest& request = state.request;
+  // Final leg: stream exits the last component toward the destination.
+  ++stats.probe_messages;
+  const FnNode last =
+      state.branches[probe.pattern_idx][probe.branch_idx].back();
+  double leg_delay = 0.0;
+  double leg_extra = 0.0;  ///< retransmission waits + jitter
+  if (probe.at != request.dest) {
+    const overlay::OverlayPathRef path = ov.route(probe.at, request.dest);
+    if (!path->valid) {
+      ++stats.probes_dropped_resources;
+      trace_drop(probe, "no_route_to_dest");
+      return;
+    }
+    leg_delay = path->delay_ms;
+    if (request.bandwidth_kbps > 0.0 && !path->links.empty()) {
+      if (!config_.soft_allocation) {
+        // Check-only mode (ablation A4): no reservation is made.
+        if (alloc_->path_available_kbps(*path) < request.bandwidth_kbps) {
+          ++stats.probes_dropped_resources;
+          trace_drop(probe, "dest_leg_bandwidth");
+          return;
+        }
+      } else {
+        const SharedPathKey skey{last, ServiceLinkHop::kEndpoint, probe.at,
+                                 request.dest};
+        auto existing = state.shared_path_holds.find(skey);
+        if (existing != state.shared_path_holds.end()) {
+          ++stats.holds_reused;
+          trace_hold(obs::TraceEvent::kHoldReused, probe.arrival, last,
+                     existing->second);
+          probe.dest_hold.emplace(
+              HoldCoverKey::edge(last, ServiceLinkHop::kEndpoint),
+              existing->second);
+        } else {
+          auto hold = alloc_->soft_reserve_path(
+              *path, request.bandwidth_kbps, state.hold_expiry);
+          if (!hold.has_value()) {
+            ++stats.probes_dropped_resources;
+            trace_drop(probe, "dest_leg_bandwidth");
+            return;
+          }
+          ++stats.holds_acquired;
+          trace_hold(obs::TraceEvent::kHoldAcquired, probe.arrival, last,
+                     *hold);
+          state.all_holds.push_back(*hold);
+          state.shared_path_holds.emplace(skey, *hold);
+          for (auto link : path->links) {
+            state.own_view.link_extra[link] += request.bandwidth_kbps;
+          }
+          probe.dest_hold.emplace(
+              HoldCoverKey::edge(last, ServiceLinkHop::kEndpoint), *hold);
+        }
+      }
+    }
+    // The probe message itself must survive the trip (holds a lost
+    // probe left behind are reclaimed by finalize's cleanup, exactly
+    // like the paper's timeout-based cancellation).
+    const HopDelivery hd = deliver_hop(
+        state, *path, util::hash_values(probe.fault_key, 0x0fu),
+        &probe.budget);
+    if (!hd.delivered) {
+      ++stats.probes_dropped_lost;
+      trace_drop(probe, "msg_lost");
+      return;
+    }
+    leg_extra = hd.added_latency_ms;
+  }
+  probe.arrival += config_.per_hop_processing_ms + leg_delay + leg_extra;
+  probe.qos_acc[Qos::kDelay] += leg_delay;
+  if (probe.arrival > config_.probe_timeout_ms) {
+    ++stats.probes_dropped_timeout;
+    trace_drop(probe, "timeout");
+    return;
+  }
+  if (!probe.qos_acc.within(request.qos_req) ||
+      probe.level < request.min_dest_level) {
+    ++stats.probes_dropped_qos;
+    trace_drop(probe, "qos_violation");
+    return;
+  }
+  probe.final_leg_done = true;
+  ++stats.probes_arrived;
+  if (trace_ != nullptr) {
+    obs::TraceRecord rec;
+    rec.event = obs::TraceEvent::kHopTaken;
+    rec.time_ms = probe.arrival;
+    rec.pattern = std::int64_t(probe.pattern_idx);
+    rec.branch = std::int64_t(probe.branch_idx);
+    rec.peer = std::int64_t(request.dest);
+    rec.note = "arrived";
+    trace_->record(std::move(rec));
+  }
+  state.arrived.push_back(std::move(probe));
+}
+
+void BcpEngine::rank_candidates(
+    ComposeState& state, const Probe& probe,
+    std::vector<const ComponentMetadata*>* candidates) {
+  auto& ov = deployment_->overlay();
+  const service::CompositeRequest& request = state.request;
   // Composite local selection metric (step 2.3): proximity + component
   // performance + failure risk + trust; lower is better. Local knowledge
   // only: the peer knows the measured delay of its own overlay links; for
@@ -628,8 +649,8 @@ void BcpEngine::process_probe(ComposeState& state, Probe probe,
   // Score once per candidate (the jitter draw must be stable for the sort
   // comparator).
   std::vector<std::pair<double, const ComponentMetadata*>> scored;
-  scored.reserve(candidates.size());
-  for (const ComponentMetadata* meta : candidates) {
+  scored.reserve(candidates->size());
+  for (const ComponentMetadata* meta : *candidates) {
     scored.emplace_back(score(*meta), meta);
   }
   std::stable_sort(scored.begin(), scored.end(),
@@ -637,16 +658,23 @@ void BcpEngine::process_probe(ComposeState& state, Probe probe,
                      if (a.first != b.first) return a.first < b.first;
                      return a.second->id < b.second->id;
                    });
-  candidates.clear();
-  for (const auto& [sc, meta] : scored) candidates.push_back(meta);
+  candidates->clear();
+  for (const auto& [sc, meta] : scored) candidates->push_back(meta);
+}
 
+void BcpEngine::fan_out(ComposeState& state, const Probe& probe,
+                        FnNode next_node, double discovery_ms,
+                        const std::vector<const ComponentMetadata*>& ranked,
+                        std::vector<Probe>* out_children) {
+  auto& ov = deployment_->overlay();
+  ComposeStats& stats = state.result.stats;
   // §4.2: fan out to I_k = min(β_k, α_k) replicas (never more than Z_k),
   // splitting the parent's remaining budget exactly: every child gets
   // ⌊β_k/I_k⌋ and the first β_k mod I_k children one more. Σ child
   // budgets == β_k — the parent's grant is conserved: never minted (a
-  // budget-exhausted probe was already dropped above) and never
-  // truncated away by the integer division.
-  const std::size_t z = candidates.size();
+  // budget-exhausted probe was already dropped by process_probe) and
+  // never truncated away by the integer division.
+  const std::size_t z = ranked.size();
   const int alpha = quota_for(z);
   const std::size_t fanout =
       std::min<std::size_t>(std::size_t(std::min(probe.budget, alpha)), z);
@@ -656,12 +684,10 @@ void BcpEngine::process_probe(ComposeState& state, Probe probe,
   int granted = 0;
   const std::size_t children_before = out_children->size();
   for (std::size_t ci = 0; ci < fanout; ++ci) {
-    const ComponentMetadata& cand = *candidates[ci];
+    const ComponentMetadata& cand = *ranked[ci];
     // O(1) spawn: the child copies the probe's scalars and takes a shared
     // reference on the prefix chain; the hops walked so far are inherited
-    // by reference, never copied (debug_clone_prefixes deep-copies them
-    // below as the equivalence-test oracle, with identical accounting so
-    // both modes report the same stats).
+    // by reference, never copied.
     Probe child = probe;
     stats.probe_bytes_copied += sizeof(Probe);
     stats.prefix_nodes_shared += probe.prefix.depth();
@@ -681,7 +707,7 @@ void BcpEngine::process_probe(ComposeState& state, Probe probe,
       leg_path = ov.route(probe.at, cand.host);
       if (!leg_path->valid) {
         ++stats.candidates_skipped_route;
-        trace_skip(next_node, cand.host, "no_route");
+        trace_skip(probe, next_node, cand.host, "no_route");
         continue;
       }
       leg_delay = leg_path->delay_ms;
@@ -689,138 +715,37 @@ void BcpEngine::process_probe(ComposeState& state, Probe probe,
           deliver_hop(state, *leg_path, child.fault_key, &child.budget);
       if (!hd.delivered) {
         ++stats.candidates_skipped_lost;
-        trace_skip(next_node, cand.host, "msg_lost");
+        trace_skip(probe, next_node, cand.host, "msg_lost");
         continue;
       }
       leg_extra = hd.added_latency_ms;
     }
     child.arrival +=
-        disc.time_ms + config_.per_hop_processing_ms + leg_delay + leg_extra;
-    child.disc_acc += disc.time_ms;
+        discovery_ms + config_.per_hop_processing_ms + leg_delay + leg_extra;
+    child.disc_acc += discovery_ms;
     if (child.arrival > config_.probe_timeout_ms) {
       ++stats.candidates_skipped_timeout;
-      trace_skip(next_node, cand.host, "would_arrive_late");
+      trace_skip(probe, next_node, cand.host, "would_arrive_late");
       continue;
     }
 
-    // Step 2.4 then 2.1 at the receiving peer: accumulate QoS states, drop
-    // on violation, then soft-allocate.
-    child.qos_acc[Qos::kDelay] += leg_delay;
-    child.qos_acc += cand.perf.resized(request.qos_req.size());
-    if (!child.qos_acc.within(request.qos_req)) {
-      ++stats.candidates_skipped_qos;
-      trace_skip(next_node, cand.host, "qos_violation");
+    std::optional<CoveredHold> bw_hold;
+    std::optional<CoveredHold> res_hold;
+    if (!admit_child(state, probe, child, cand, next_node, leg_delay,
+                     leg_path, &bw_hold, &res_hold)) {
       continue;
-    }
-
-    const FnNode prev_node = child.prefix.depth() == 0
-                                 ? ServiceLinkHop::kEndpoint
-                                 : branch[child.prefix.depth() - 1];
-    // Holds attached at this hop, recorded onto the child's fresh
-    // PathSegment once it exists (bandwidth first, then resources — the
-    // order finalize()'s hold union must observe).
-    std::optional<std::pair<HoldCoverKey, HoldId>> leg_bw_hold;
-    std::optional<std::pair<HoldCoverKey, HoldId>> leg_res_hold;
-    if (!config_.soft_allocation) {
-      // Check-only mode (ablation A4): availability verified, nothing
-      // reserved — concurrent requests may later race to admission.
-      if (leg_path.has_value() && request.bandwidth_kbps > 0.0 &&
-          !leg_path->links.empty() &&
-          alloc_->path_available_kbps(*leg_path) < request.bandwidth_kbps) {
-        ++stats.candidates_skipped_resources;
-        trace_skip(next_node, cand.host, "link_bandwidth");
-        continue;
-      }
-      if (!cand.required.fits_within(alloc_->peer_available(cand.host))) {
-        ++stats.candidates_skipped_resources;
-        trace_skip(next_node, cand.host, "peer_resources");
-        continue;
-      }
-    } else {
-      // Bandwidth on the incoming service link (shared per request).
-      std::optional<HoldId> bw_hold;
-      bool bw_hold_fresh = false;
-      if (leg_path.has_value() && request.bandwidth_kbps > 0.0 &&
-          !leg_path->links.empty()) {
-        const SharedPathKey skey{prev_node, next_node, probe.at, cand.host};
-        if (auto it = state.shared_path_holds.find(skey);
-            it != state.shared_path_holds.end()) {
-          bw_hold = it->second;
-          ++stats.holds_reused;
-          trace_hold(obs::TraceEvent::kHoldReused, child.arrival, next_node,
-                     *bw_hold);
-        } else {
-          bw_hold = alloc_->soft_reserve_path(
-              *leg_path, request.bandwidth_kbps, state.hold_expiry);
-          if (!bw_hold.has_value()) {
-            ++stats.candidates_skipped_resources;
-            trace_skip(next_node, cand.host, "link_bandwidth");
-            continue;
-          }
-          bw_hold_fresh = true;
-          ++stats.holds_acquired;
-          trace_hold(obs::TraceEvent::kHoldAcquired, child.arrival, next_node,
-                     *bw_hold);
-          state.shared_path_holds.emplace(skey, *bw_hold);
-        }
-      }
-      // Component resources on the candidate host (shared per request).
-      std::optional<HoldId> res_hold;
-      const SharedPeerKey pkey{next_node, cand.id};
-      if (auto it = state.shared_peer_holds.find(pkey);
-          it != state.shared_peer_holds.end()) {
-        res_hold = it->second;
-        ++stats.holds_reused;
-        trace_hold(obs::TraceEvent::kHoldReused, child.arrival, next_node,
-                   *res_hold);
-      } else {
-        res_hold = alloc_->soft_reserve_peer(cand.host, cand.required,
-                                             state.hold_expiry);
-        if (!res_hold.has_value()) {
-          if (bw_hold_fresh) {
-            alloc_->release_hold(*bw_hold);
-            state.shared_path_holds.erase(
-                SharedPathKey{prev_node, next_node, probe.at, cand.host});
-          }
-          ++stats.candidates_skipped_resources;
-          trace_skip(next_node, cand.host, "peer_resources");
-          continue;
-        }
-        ++stats.holds_acquired;
-        trace_hold(obs::TraceEvent::kHoldAcquired, child.arrival, next_node,
-                   *res_hold);
-        state.shared_peer_holds.emplace(pkey, *res_hold);
-        state.all_holds.push_back(*res_hold);
-        state.own_view.peer_extra[cand.host] += cand.required;
-      }
-      if (bw_hold.has_value()) {
-        if (bw_hold_fresh) {
-          state.all_holds.push_back(*bw_hold);
-          for (auto link : leg_path->links) {
-            state.own_view.link_extra[link] += request.bandwidth_kbps;
-          }
-        }
-        leg_bw_hold.emplace(HoldCoverKey::edge(prev_node, next_node),
-                            *bw_hold);
-      }
-      leg_res_hold.emplace(HoldCoverKey::node(next_node), *res_hold);
     }
 
     // Every skip is behind us: extend the prefix by one segment. The
-    // segment is written (holds attached) before the child is handed to
-    // the driver; from then on it is immutable and shared.
-    child.prefix =
-        config_.debug_clone_prefixes
-            ? state.arena.clone_append(probe.prefix.get(), cand, leg_delay,
-                                       child.arrival)
-            : state.arena.append(probe.prefix.get(), cand, leg_delay,
-                                 child.arrival);
+    // segment is written (holds attached, bandwidth first) before the
+    // child is handed to the driver; from then on it is immutable and
+    // shared.
+    child.prefix = state.arena.append(probe.prefix.get(), cand, leg_delay,
+                                      child.arrival);
     PathSegment* leaf = child.prefix.leaf();
-    if (leg_bw_hold.has_value()) {
-      leaf->add_hold(leg_bw_hold->first, leg_bw_hold->second);
-    }
-    if (leg_res_hold.has_value()) {
-      leaf->add_hold(leg_res_hold->first, leg_res_hold->second);
+    if (bw_hold.has_value()) leaf->add_hold(bw_hold->first, bw_hold->second);
+    if (res_hold.has_value()) {
+      leaf->add_hold(res_hold->first, res_hold->second);
     }
     child.at = cand.host;
     child.level = cand.output_level;
@@ -851,12 +776,136 @@ void BcpEngine::process_probe(ComposeState& state, Probe probe,
   }
 }
 
-void BcpEngine::finalize(ComposeState& state) {
+bool BcpEngine::admit_child(ComposeState& state, const Probe& parent,
+                            Probe& child, const ComponentMetadata& cand,
+                            FnNode next_node, double leg_delay,
+                            const overlay::OverlayPathRef& leg_path,
+                            std::optional<CoveredHold>* bw_out,
+                            std::optional<CoveredHold>* res_out) {
   ComposeStats& stats = state.result.stats;
-  ComposeResult& result = state.result;
   const service::CompositeRequest& request = state.request;
+  // Step 2.4 then 2.1 at the receiving peer: accumulate QoS states, drop
+  // on violation, then soft-allocate.
+  child.qos_acc[Qos::kDelay] += leg_delay;
+  child.qos_acc += cand.perf.resized(request.qos_req.size());
+  if (!child.qos_acc.within(request.qos_req)) {
+    ++stats.candidates_skipped_qos;
+    trace_skip(parent, next_node, cand.host, "qos_violation");
+    return false;
+  }
 
-  // ---- Step 3: destination merge + optimal composition selection ------
+  const auto& branch = state.branches[parent.pattern_idx][parent.branch_idx];
+  const FnNode prev_node = child.prefix.depth() == 0
+                               ? ServiceLinkHop::kEndpoint
+                               : branch[child.prefix.depth() - 1];
+  const bool carries_stream = leg_path.has_value() &&
+                              request.bandwidth_kbps > 0.0 &&
+                              !leg_path->links.empty();
+  if (!config_.soft_allocation) {
+    // Check-only mode (ablation A4): availability verified, nothing
+    // reserved — concurrent requests may later race to admission.
+    if (carries_stream &&
+        alloc_->path_available_kbps(*leg_path) < request.bandwidth_kbps) {
+      ++stats.candidates_skipped_resources;
+      trace_skip(parent, next_node, cand.host, "link_bandwidth");
+      return false;
+    }
+    if (!cand.required.fits_within(alloc_->peer_available(cand.host))) {
+      ++stats.candidates_skipped_resources;
+      trace_skip(parent, next_node, cand.host, "peer_resources");
+      return false;
+    }
+    return true;
+  }
+
+  // Bandwidth on the incoming service link (shared per request).
+  std::optional<HoldId> bw_hold;
+  bool bw_hold_fresh = false;
+  const SharedPathKey skey{prev_node, next_node, parent.at, cand.host};
+  if (carries_stream) {
+    if (auto it = state.shared_path_holds.find(skey);
+        it != state.shared_path_holds.end()) {
+      bw_hold = it->second;
+      ++stats.holds_reused;
+      trace_hold(obs::TraceEvent::kHoldReused, child.arrival, next_node,
+                 *bw_hold);
+    } else {
+      bw_hold = alloc_->soft_reserve_path(*leg_path, request.bandwidth_kbps,
+                                          state.hold_expiry);
+      if (!bw_hold.has_value()) {
+        ++stats.candidates_skipped_resources;
+        trace_skip(parent, next_node, cand.host, "link_bandwidth");
+        return false;
+      }
+      bw_hold_fresh = true;
+      ++stats.holds_acquired;
+      trace_hold(obs::TraceEvent::kHoldAcquired, child.arrival, next_node,
+                 *bw_hold);
+      state.shared_path_holds.emplace(skey, *bw_hold);
+    }
+  }
+  // Component resources on the candidate host (shared per request).
+  std::optional<HoldId> res_hold;
+  const SharedPeerKey pkey{next_node, cand.id};
+  if (auto it = state.shared_peer_holds.find(pkey);
+      it != state.shared_peer_holds.end()) {
+    res_hold = it->second;
+    ++stats.holds_reused;
+    trace_hold(obs::TraceEvent::kHoldReused, child.arrival, next_node,
+               *res_hold);
+  } else {
+    res_hold = alloc_->soft_reserve_peer(cand.host, cand.required,
+                                         state.hold_expiry);
+    if (!res_hold.has_value()) {
+      if (bw_hold_fresh) {
+        alloc_->release_hold(*bw_hold);
+        state.shared_path_holds.erase(skey);
+      }
+      ++stats.candidates_skipped_resources;
+      trace_skip(parent, next_node, cand.host, "peer_resources");
+      return false;
+    }
+    ++stats.holds_acquired;
+    trace_hold(obs::TraceEvent::kHoldAcquired, child.arrival, next_node,
+               *res_hold);
+    state.shared_peer_holds.emplace(pkey, *res_hold);
+    state.all_holds.push_back(*res_hold);
+    state.own_view.peer_extra[cand.host] += cand.required;
+  }
+  if (bw_hold.has_value()) {
+    if (bw_hold_fresh) {
+      state.all_holds.push_back(*bw_hold);
+      for (auto link : leg_path->links) {
+        state.own_view.link_extra[link] += request.bandwidth_kbps;
+      }
+    }
+    bw_out->emplace(HoldCoverKey::edge(prev_node, next_node), *bw_hold);
+  }
+  res_out->emplace(HoldCoverKey::node(next_node), *res_hold);
+  return true;
+}
+
+void BcpEngine::finalize(ComposeState& state) {
+  FlatPrefixes flat;
+  std::vector<MergedGraph> merged = merge_arrivals(state, &flat);
+  std::vector<QualifiedGraph> qualified =
+      qualify_and_rank(state, merged, flat);
+  acknowledge_best(state, qualified);
+  release_unselected_holds(state);
+
+  arena_totals_.segments_allocated += state.arena.segments_allocated();
+  arena_totals_.freelist_reused += state.arena.freelist_reused();
+  arena_totals_.peak_live_segments = std::max(
+      arena_totals_.peak_live_segments, state.arena.peak_live_segments());
+
+  flush_metrics(state.result.stats, state.result.success);
+}
+
+std::vector<BcpEngine::MergedGraph> BcpEngine::merge_arrivals(
+    ComposeState& state, FlatPrefixes* flat) {
+  ComposeStats& stats = state.result.stats;
+
+  // ---- Step 3: destination merge --------------------------------------
   // Group arrived probes by (pattern, branch). This is the one place
   // shared prefixes are flattened: the merge below reads each probe's
   // chain through a positional root-first view, so it observes exactly
@@ -864,29 +913,24 @@ void BcpEngine::finalize(ComposeState& state) {
   std::unordered_map<util::PairKey<std::size_t, std::size_t>,
                      std::vector<const Probe*>, util::PairKeyHash>
       by_pb;
-  std::unordered_map<const Probe*, FlatPrefix> flat;
-  flat.reserve(state.arrived.size());
+  flat->reserve(state.arrived.size());
   double last_arrival = 0.0;
   double critical_disc = 0.0;
   for (const Probe& probe : state.arrived) {
     by_pb[util::PairKey<std::size_t, std::size_t>{probe.pattern_idx,
                                                   probe.branch_idx}]
         .push_back(&probe);
-    flat.emplace(&probe, FlatPrefix(probe.prefix.get()));
+    flat->emplace(&probe, FlatPrefix(probe.prefix.get()));
     if (probe.arrival > last_arrival) {
       last_arrival = probe.arrival;
       critical_disc = probe.disc_acc;
     }
   }
+  stats.probing_time_ms = last_arrival;
+  stats.discovery_time_ms = critical_disc;
 
-  struct Candidate {
-    std::size_t pattern_idx;
-    std::vector<ComponentMetadata> mapping;  // per pattern node
-    std::vector<const Probe*> probes;
-  };
-  std::vector<Candidate> candidates;
+  std::vector<MergedGraph> candidates;
   std::unordered_set<std::string> candidate_sigs;
-
   for (std::size_t pi = 0; pi < state.patterns.size(); ++pi) {
     const auto& pattern_branches = state.branches[pi];
     // All branches must have at least one arrived probe.
@@ -912,7 +956,7 @@ void BcpEngine::finalize(ComposeState& state) {
     std::function<void(std::size_t)> join = [&](std::size_t bi) {
       if (candidates.size() >= config_.max_candidates) return;
       if (bi == lists.size()) {
-        Candidate c;
+        MergedGraph c;
         c.pattern_idx = pi;
         c.mapping = mapping;
         c.probes = used;
@@ -926,7 +970,7 @@ void BcpEngine::finalize(ComposeState& state) {
       }
       const auto& branch = pattern_branches[bi];
       for (const Probe* probe : *lists[bi]) {
-        const FlatPrefix& chosen = flat.at(probe);
+        const FlatPrefix& chosen = flat->at(probe);
         bool compatible = true;
         for (std::size_t k = 0; k < branch.size(); ++k) {
           if (bound[branch[k]] &&
@@ -954,7 +998,7 @@ void BcpEngine::finalize(ComposeState& state) {
   }
   stats.candidates_merged = candidates.size();
   if (trace_ != nullptr) {
-    for (const Candidate& cand : candidates) {
+    for (const MergedGraph& cand : candidates) {
       obs::TraceRecord rec;
       rec.event = obs::TraceEvent::kCandidateMerged;
       rec.time_ms = last_arrival;
@@ -963,14 +1007,22 @@ void BcpEngine::finalize(ComposeState& state) {
       trace_->record(std::move(rec));
     }
   }
+  return candidates;
+}
 
+double BcpEngine::selection_key(const ServiceGraph& graph) const {
+  return config_.objective == SelectionObjective::kMinPsi
+             ? graph.psi_cost
+             : graph.qos.delay_ms();
+}
+
+std::vector<BcpEngine::QualifiedGraph> BcpEngine::qualify_and_rank(
+    ComposeState& state, std::vector<MergedGraph>& merged,
+    const FlatPrefixes& flat) {
+  const service::CompositeRequest& request = state.request;
   // Evaluate, filter by QoS, rank by the selection objective.
-  struct Scored {
-    ServiceGraph graph;
-    std::vector<HoldId> holds;
-  };
-  std::vector<Scored> qualified;
-  for (Candidate& cand : candidates) {
+  std::vector<QualifiedGraph> qualified;
+  for (MergedGraph& cand : merged) {
     ServiceGraph graph;
     graph.pattern = state.patterns[cand.pattern_idx];
     graph.mapping = std::move(cand.mapping);
@@ -1001,103 +1053,97 @@ void BcpEngine::finalize(ComposeState& state) {
     if (trace_ != nullptr) {
       obs::TraceRecord rec;
       rec.event = obs::TraceEvent::kGraphQualified;
-      rec.time_ms = last_arrival;
+      rec.time_ms = state.result.stats.probing_time_ms;
       rec.value = graph.psi_cost;
       trace_->record(std::move(rec));
     }
-    Scored s;
-    s.graph = std::move(graph);
-    s.holds.reserve(by_key.size());
-    for (const auto& [key, hold] : by_key) s.holds.push_back(hold);
-    qualified.push_back(std::move(s));
+    QualifiedGraph q;
+    q.graph = std::move(graph);
+    q.holds.reserve(by_key.size());
+    for (const auto& [key, hold] : by_key) q.holds.push_back(hold);
+    qualified.push_back(std::move(q));
   }
-  stats.qualified_found = qualified.size();
+  state.result.stats.qualified_found = qualified.size();
 
-  const auto selection_key = [this](const service::ServiceGraph& g) {
-    return config_.objective == SelectionObjective::kMinPsi ? g.psi_cost
-                                                            : g.qos.delay_ms();
-  };
   std::stable_sort(qualified.begin(), qualified.end(),
-                   [&](const Scored& a, const Scored& b) {
+                   [&](const QualifiedGraph& a, const QualifiedGraph& b) {
                      return selection_key(a.graph) < selection_key(b.graph);
                    });
+  return qualified;
+}
 
-  stats.probing_time_ms = last_arrival;
-  stats.discovery_time_ms = critical_disc;
-
-  if (!qualified.empty()) {
-    // Step 4: the acknowledgement travels the reversed selected graph.
-    // Under the fault model every hop is a real, retransmitted message
-    // (same deliver_hop machinery as forward probes); if a hop stays
-    // undelivered the source never learns which composition was selected
-    // and the request fails — its holds are released below and expire at
-    // the peers, the paper's timeout-based cancellation.
-    bool ack_ok = true;
-    double ack_extra_ms = 0.0;
-    for (std::size_t h = 0; h < qualified.front().graph.hops.size(); ++h) {
-      ++stats.probe_messages;
-      const HopDelivery d = deliver_hop(
-          state, qualified.front().graph.hops[h].path,
-          util::hash_values(state.noise_salt, std::uint64_t{0xac4eu}, h),
-          nullptr);
-      ack_extra_ms += d.added_latency_ms;
-      if (!d.delivered) {
-        ack_ok = false;
-        break;
-      }
-    }
-    if (ack_ok) {
-      result.success = true;
-      if (trace_ != nullptr) {
-        obs::TraceRecord rec;
-        rec.event = obs::TraceEvent::kGraphSelected;
-        rec.time_ms = last_arrival;
-        rec.value = selection_key(qualified.front().graph);
-        trace_->record(std::move(rec));
-      }
-      result.best = std::move(qualified.front().graph);
-      result.best_holds = std::move(qualified.front().holds);
-      for (std::size_t i = 1;
-           i < qualified.size() &&
-           result.backups.size() < config_.max_backups_returned;
-           ++i) {
-        result.backups.push_back(std::move(qualified[i].graph));
-      }
-      stats.setup_time_ms = last_arrival + evaluator_->ack_time_ms(result.best) +
-                            config_.per_hop_processing_ms + ack_extra_ms;
-    } else {
-      ++stats.setup_acks_lost;
-      // The source sat through the ack's retransmission timeouts for
-      // nothing; charge them to the (failed) setup time.
-      stats.setup_time_ms = last_arrival + ack_extra_ms;
-    }
-  } else {
+void BcpEngine::acknowledge_best(ComposeState& state,
+                                 std::vector<QualifiedGraph>& qualified) {
+  ComposeStats& stats = state.result.stats;
+  ComposeResult& result = state.result;
+  const double last_arrival = stats.probing_time_ms;
+  if (qualified.empty()) {
     stats.setup_time_ms = last_arrival;
+    return;
   }
+  // Step 4: the acknowledgement travels the reversed selected graph.
+  // Under the fault model every hop is a real, retransmitted message
+  // (same deliver_hop machinery as forward probes); if a hop stays
+  // undelivered the source never learns which composition was selected
+  // and the request fails — its holds are released afterwards and expire
+  // at the peers, the paper's timeout-based cancellation.
+  bool ack_ok = true;
+  double ack_extra_ms = 0.0;
+  for (std::size_t h = 0; h < qualified.front().graph.hops.size(); ++h) {
+    ++stats.probe_messages;
+    const HopDelivery d = deliver_hop(
+        state, qualified.front().graph.hops[h].path,
+        util::hash_values(state.noise_salt, std::uint64_t{0xac4eu}, h),
+        nullptr);
+    ack_extra_ms += d.added_latency_ms;
+    if (!d.delivered) {
+      ack_ok = false;
+      break;
+    }
+  }
+  if (!ack_ok) {
+    ++stats.setup_acks_lost;
+    // The source sat through the ack's retransmission timeouts for
+    // nothing; charge them to the (failed) setup time.
+    stats.setup_time_ms = last_arrival + ack_extra_ms;
+    return;
+  }
+  result.success = true;
+  if (trace_ != nullptr) {
+    obs::TraceRecord rec;
+    rec.event = obs::TraceEvent::kGraphSelected;
+    rec.time_ms = last_arrival;
+    rec.value = selection_key(qualified.front().graph);
+    trace_->record(std::move(rec));
+  }
+  result.best = std::move(qualified.front().graph);
+  result.best_holds = std::move(qualified.front().holds);
+  for (std::size_t i = 1; i < qualified.size() &&
+                          result.backups.size() < config_.max_backups_returned;
+       ++i) {
+    result.backups.push_back(std::move(qualified[i].graph));
+  }
+  stats.setup_time_ms = last_arrival + evaluator_->ack_time_ms(result.best) +
+                        config_.per_hop_processing_ms + ack_extra_ms;
+}
 
+void BcpEngine::release_unselected_holds(ComposeState& state) {
   // Release every hold this request made except those backing the best
   // graph (the paper's timeout-based cancellation, applied eagerly).
-  std::unordered_set<HoldId> keep(result.best_holds.begin(),
-                                  result.best_holds.end());
+  const std::vector<HoldId>& best = state.result.best_holds;
+  std::unordered_set<HoldId> keep(best.begin(), best.end());
   for (HoldId hold : state.all_holds) {
     if (keep.count(hold) == 0) {
       alloc_->release_hold(hold);
       if (trace_ != nullptr) {
         obs::TraceRecord rec;
         rec.event = obs::TraceEvent::kHoldReleased;
-        rec.time_ms = last_arrival;
+        rec.time_ms = state.result.stats.probing_time_ms;
         rec.value = double(hold);
         trace_->record(std::move(rec));
       }
     }
   }
-
-  arena_totals_.segments_allocated += state.arena.segments_allocated();
-  arena_totals_.freelist_reused += state.arena.freelist_reused();
-  arena_totals_.peak_live_segments = std::max(
-      arena_totals_.peak_live_segments, state.arena.peak_live_segments());
-
-  flush_metrics(stats, result.success);
 }
 
 void BcpEngine::flush_metrics(const ComposeStats& stats, bool success) {
@@ -1180,89 +1226,6 @@ ComposeResult BcpEngine::compose(const service::CompositeRequest& request,
   }
   finalize(state);
   return std::move(state.result);
-}
-
-void BcpEngine::compose_async(const service::CompositeRequest& request,
-                              Rng& rng,
-                              std::function<void(ComposeResult)> done) {
-  SPIDER_REQUIRE(done != nullptr);
-
-  struct AsyncRun {
-    ComposeState state;
-    std::size_t outstanding = 0;  ///< probes still in flight
-    bool finished = false;
-    sim::EventId timeout_event = sim::kInvalidEvent;
-    std::function<void(ComposeResult)> done;
-  };
-  auto run = std::make_shared<AsyncRun>();
-  run->done = std::move(done);
-
-  if (!init_state(run->state, request, rng)) {
-    // Fail at the earliest possible virtual instant, still asynchronously.
-    sim_->schedule_after(0.0, [this, run] {
-      (void)this;
-      run->done(std::move(run->state.result));
-    });
-    return;
-  }
-
-  const double t0 = sim_->now();
-
-  // Each probe hop is one event at the probe's arrival time. The
-  // recursion goes through a shared function object so that event lambdas
-  // hold a stable copy (a local std::function would die when
-  // compose_async returns).
-  auto scheduler = std::make_shared<std::function<void(Probe)>>();
-
-  // Completion: merge/select at the destination, then deliver the result
-  // when the ack (or the failure notice) reaches the source.
-  auto complete = [this, run, t0, scheduler] {
-    if (run->finished) return;
-    run->finished = true;
-    if (run->timeout_event != sim::kInvalidEvent) {
-      sim_->cancel(run->timeout_event);
-    }
-    finalize(run->state);
-    const double done_at = t0 + run->state.result.stats.setup_time_ms;
-    const double delay = std::max(0.0, done_at - sim_->now());
-    sim_->schedule_after(delay, [run] {
-      run->done(std::move(run->state.result));
-    });
-    // The scheduler's lambda captures `scheduler` (and, via `complete`,
-    // this whole chain) — an ownership cycle that would leak the run's
-    // state. Clearing the function breaks it; in-flight events hold
-    // their own shared_ptr copies and drain harmlessly via the
-    // `finished` check.
-    *scheduler = nullptr;
-  };
-
-  *scheduler = [this, run, t0, complete, scheduler](Probe probe) {
-    ++run->outstanding;
-    const double at = t0 + probe.arrival;
-    sim_->schedule_at(std::max(at, sim_->now()),
-                      [this, run, complete, scheduler,
-                       probe = std::move(probe)]() mutable {
-                        --run->outstanding;
-                        if (run->finished) return;
-                        std::vector<Probe> children;
-                        process_probe(run->state, std::move(probe), &children);
-                        for (Probe& child : children) {
-                          (*scheduler)(std::move(child));
-                        }
-                        if (run->outstanding == 0) complete();
-                      });
-  };
-
-  // Destination collection timeout (§4.1 step 3).
-  run->timeout_event = sim_->schedule_after(
-      config_.probe_timeout_ms, [run, complete] {
-        run->timeout_event = sim::kInvalidEvent;
-        complete();
-      });
-
-  std::vector<Probe> seeds = std::move(run->state.seeds);
-  run->state.seeds.clear();
-  for (Probe& seed : seeds) (*scheduler)(std::move(seed));
 }
 
 }  // namespace spider::core

@@ -18,15 +18,17 @@
 //   5. the best graph's soft holds are kept for confirmation; all other
 //      holds created by this request are released (the timeout path).
 //
-// Execution model (DESIGN.md §5): probing runs synchronously with
-// analytically accumulated virtual latency per probe — identical protocol
-// decisions to a message-level run, at the scale Fig 8 requires. Message
-// and timing totals are reported in ComposeStats.
+// Execution model (DESIGN.md §5): probing runs synchronously, one probe
+// hop at a time in FIFO order, with analytically accumulated virtual
+// latency per probe — the scale Fig 8 requires. Message and timing totals
+// are reported in ComposeStats.
 #pragma once
 
 #include <cstdint>
 #include <functional>
 #include <optional>
+#include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "core/allocator.hpp"
@@ -38,6 +40,7 @@
 namespace spider::obs {
 class MetricsRegistry;
 class ProbeTrace;
+enum class TraceEvent : std::uint8_t;
 }  // namespace spider::obs
 
 namespace spider::fault {
@@ -146,13 +149,6 @@ struct BcpConfig {
   /// ranking greedily keeps the best-scoring communities that still add
   /// coverage of a requested function, pruning the rest.
   std::size_t max_candidate_communities = 4;
-
-  /// Test-only: spawn children by deep-copying the parent's prefix chain
-  /// instead of sharing its tail. Protocol decisions, results, stats and
-  /// metrics are identical either way — the prefix-sharing equivalence
-  /// suite runs both modes and diffs them; only memory behaviour (arena
-  /// churn) differs.
-  bool debug_clone_prefixes = false;
 };
 
 /// Cumulative PathArena accounting across every compose an engine ran.
@@ -200,8 +196,7 @@ struct ComposeStats {
   // Probe-state copy accounting (the spawn hot path). `probe_bytes_copied`
   // is the volume of probe state physically copied when spawning probes;
   // `prefix_nodes_shared` counts prefix hops children inherited by
-  // reference instead of copying. Both are identical between the sync and
-  // message-level drivers (they depend on spawn events, not timing).
+  // reference instead of copying.
   std::uint64_t probe_bytes_copied = 0;
   std::uint64_t prefix_nodes_shared = 0;
   // Two-tier accounting (both zero in flat mode — see set_communities).
@@ -252,17 +247,6 @@ class BcpEngine {
   /// graph's holds are alive (expire at now + probe_timeout_ms unless
   /// confirmed); every other hold created here has been released.
   ComposeResult compose(const service::CompositeRequest& request, Rng& rng);
-
-  /// Message-level execution of the same protocol: every probe hop is a
-  /// simulator event fired at its arrival time, the destination collects
-  /// until its timeout (or until the last outstanding probe lands), and
-  /// `done` is invoked at the virtual time the setup acknowledgement
-  /// returns. Decision logic is byte-for-byte the one compose() uses —
-  /// only the execution order differs (probes interleave by arrival time,
-  /// so under contention the two modes may reserve in different orders).
-  /// `rng` must stay valid until `done` runs.
-  void compose_async(const service::CompositeRequest& request, Rng& rng,
-                     std::function<void(ComposeResult)> done);
 
   const BcpConfig& config() const { return config_; }
   void set_config(const BcpConfig& config) { config_ = config; }
@@ -319,6 +303,13 @@ class BcpEngine {
   struct DiscoveryEntry;
   struct ComposeState;
   struct HopDelivery;
+  struct MergedGraph;
+  struct QualifiedGraph;
+  /// A soft hold keyed by what it covers (a node or a service link).
+  using CoveredHold = std::pair<HoldCoverKey, HoldId>;
+  /// Root-first view of every arrived probe's prefix (built once, at the
+  /// destination merge).
+  using FlatPrefixes = std::unordered_map<const Probe*, FlatPrefix>;
 
   /// Validates the request and seeds the initial probes (returns false if
   /// composition is impossible before probing starts).
@@ -328,15 +319,68 @@ class BcpEngine {
   /// greedily selects candidate communities and fills the state's allowed
   /// set. Returns the budget spent (== coarse probe count).
   int coarse_select(ComposeState& state, int budget_total);
-  /// Executes one per-hop step (§4.2) for `probe`: either the final leg
-  /// to the destination (probe lands in state.arrived) or next-hop
-  /// selection + soft allocation, appending spawned children to
-  /// `out_children` with their arrival times set.
+
+  // ---- §4.2: one per-hop step ------------------------------------------
+  /// Executes one per-hop step for `probe`: the final leg once its branch
+  /// is complete, otherwise discovery (steps 2.2/2.3) then the fan-out
+  /// (step 2.4), appending spawned children to `out_children` with their
+  /// arrival times set.
   void process_probe(ComposeState& state, Probe probe,
                      std::vector<Probe>* out_children);
-  /// Destination-side merge, qualification, ψ ranking, hold cleanup
-  /// (§4.3 / step 4); fills state.result.
+  /// Final leg: the stream leaves the branch's last component for the
+  /// destination; a probe that survives it lands in state.arrived.
+  void finish_at_dest(ComposeState& state, Probe probe);
+  /// Step 2.3: orders `candidates` best first by the composite local
+  /// next-hop metric.
+  void rank_candidates(
+      ComposeState& state, const Probe& probe,
+      std::vector<const service::ComponentMetadata*>* candidates);
+  /// Step 2.4: spawns children toward the first I_k = min(β_k, α_k) of
+  /// `ranked`, splitting the probe's budget exactly, and settles the
+  /// parent's terminal outcome.
+  void fan_out(ComposeState& state, const Probe& probe,
+               service::FnNode next_node, double discovery_ms,
+               const std::vector<const service::ComponentMetadata*>& ranked,
+               std::vector<Probe>* out_children);
+  /// Step 2.1 at the receiving peer: accumulates `cand` into the child's
+  /// QoS, then checks or soft-reserves the incoming leg's bandwidth and
+  /// the candidate's resources. False means the candidate was skipped;
+  /// true fills the holds to record on the child's new segment.
+  bool admit_child(ComposeState& state, const Probe& parent, Probe& child,
+                   const service::ComponentMetadata& cand,
+                   service::FnNode next_node, double leg_delay,
+                   const overlay::OverlayPathRef& leg_path,
+                   std::optional<CoveredHold>* bw_hold,
+                   std::optional<CoveredHold>* res_hold);
+
+  // ---- §4.3 and step 4: at the destination ------------------------------
+  /// Merge, qualification, ψ ranking, acknowledgement and hold cleanup;
+  /// fills state.result.
   void finalize(ComposeState& state);
+  /// Step 3: joins arrived probes into candidate graphs that agree on
+  /// shared nodes; records probing/discovery time.
+  std::vector<MergedGraph> merge_arrivals(ComposeState& state,
+                                          FlatPrefixes* flat);
+  /// Evaluates each merged graph, keeps the QoS-qualified ones with the
+  /// union of their probes' holds, and sorts them by selection_key.
+  std::vector<QualifiedGraph> qualify_and_rank(ComposeState& state,
+                                               std::vector<MergedGraph>& merged,
+                                               const FlatPrefixes& flat);
+  /// Step 4: acknowledges the best qualified graph back to the source and
+  /// fills the result (best, holds, backups) and setup time.
+  void acknowledge_best(ComposeState& state,
+                        std::vector<QualifiedGraph>& qualified);
+  /// Releases every hold of this request except the best graph's.
+  void release_unselected_holds(ComposeState& state);
+  /// What the destination minimizes under config_.objective.
+  double selection_key(const service::ServiceGraph& graph) const;
+
+  // Trace emitters (no-ops without an attached trace).
+  void trace_drop(const Probe& probe, const char* reason);
+  void trace_skip(const Probe& parent, service::FnNode node, PeerId host,
+                  const char* reason);
+  void trace_hold(obs::TraceEvent event, double t, service::FnNode node,
+                  HoldId hold);
 
   const DiscoveryEntry& discover(ComposeState& state, PeerId peer,
                                  service::FunctionId fn);

@@ -21,11 +21,9 @@
 //    first segment still shared with a sibling or an arrived probe.
 //
 // The arena lives in the engine's per-request ComposeState and must
-// outlive every probe of that request — including probes captured in
-// in-flight simulator events on the message-level driver, which keep the
-// state (and so the arena) alive through their shared_ptr to the run.
-// Flattening back to a positional per-hop view happens exactly once, at
-// `finalize()`, via `FlatPrefix`.
+// outlive every probe of that request. Flattening back to a positional
+// per-hop view happens exactly once, at the destination merge
+// (`BcpEngine::merge_arrivals`), via `FlatPrefix`.
 #pragma once
 
 #include <cstddef>
@@ -85,8 +83,8 @@ class PathArena {
   /// Deep-copies the whole chain ending at `leaf` and appends one fresh
   /// segment, sharing nothing. Byte-for-byte the same protocol state as
   /// append() — only the memory behaviour differs. This is the seed
-  /// engine's deep-copy spawn, kept as a test oracle for the
-  /// prefix-sharing equivalence suite (BcpConfig::debug_clone_prefixes).
+  /// engine's deep-copy spawn, kept as the reference the prefix-sharing
+  /// property test compares append() against.
   PathRef clone_append(const PathSegment* leaf,
                        const service::ComponentMetadata& component,
                        double leg_delay_ms, double arrival_ms);

@@ -44,16 +44,6 @@ void FunctionGraph::add_commutation(FnNode u, FnNode v) {
   comms_.emplace_back(u, v);
 }
 
-void FunctionGraph::mark_conditional(FnNode n) {
-  SPIDER_REQUIRE(n < functions_.size());
-  if (!is_conditional(n)) conditionals_.push_back(n);
-}
-
-bool FunctionGraph::is_conditional(FnNode n) const {
-  return std::find(conditionals_.begin(), conditionals_.end(), n) !=
-         conditionals_.end();
-}
-
 std::vector<FnNode> FunctionGraph::successors(FnNode n) const {
   std::vector<FnNode> out;
   for (const auto& [u, v] : deps_) {
@@ -211,7 +201,6 @@ std::vector<FunctionGraph> FunctionGraph::patterns(
     FunctionGraph g;
     g.functions_ = functions_;
     g.comms_ = comms_;
-    g.conditionals_ = conditionals_;
     g.deps_.reserve(deps_.size());
     for (const auto& [u, v] : deps_) g.deps_.emplace_back(perm[u], perm[v]);
     if (!g.is_dag()) continue;  // defensive; transpositions preserve DAG-ness

@@ -53,7 +53,6 @@ std::optional<ParsedRequest> parse_request_spec(const std::string& text,
   std::vector<std::string> node_names;
   std::vector<std::pair<std::string, std::string>> edges;
   std::vector<std::pair<std::string, std::string>> commutes;
-  std::vector<std::string> conditionals;
   double delay = -1.0, loss = 0.0, bandwidth = 0.0, failure = 1.0;
   double source_level = 0.0, dest_level = 0.0;
   bool have_delay = false;
@@ -118,8 +117,6 @@ std::optional<ParsedRequest> parse_request_spec(const std::string& text,
         return std::nullopt;
       }
       commutes.emplace_back(pair[0], pair[1]);
-    } else if (key == "conditional") {
-      conditionals.push_back(value);
     } else if (key == "delay") {
       if (!parse_number(value, &delay) || delay <= 0.0) {
         fail(error, line_no, "delay must be a positive number (ms)");
@@ -166,7 +163,7 @@ std::optional<ParsedRequest> parse_request_spec(const std::string& text,
     return std::nullopt;
   }
 
-  // Resolve commutation/conditional names against declared nodes.
+  // Resolve commutation names against declared nodes.
   auto find_node = [&](const std::string& name) -> int {
     for (std::size_t i = 0; i < node_names.size(); ++i) {
       if (node_names[i] == name) return int(i);
@@ -189,15 +186,6 @@ std::optional<ParsedRequest> parse_request_spec(const std::string& text,
       return std::nullopt;
     }
     graph.add_commutation(FnNode(iu), FnNode(iv));
-  }
-  for (const std::string& name : conditionals) {
-    const int idx = find_node(name);
-    if (idx < 0) {
-      fail(error, line_no,
-           "conditional references undeclared function '" + name + "'");
-      return std::nullopt;
-    }
-    graph.mark_conditional(FnNode(idx));
   }
   if (!graph.is_dag()) {
     fail(error, line_no, "dependency edges form a cycle");

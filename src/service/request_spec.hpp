@@ -8,7 +8,6 @@
 //   edges: ingest -> denoise -> report      # chains expand pairwise
 //   edges: ingest -> calibrate -> report    # repeatable; names intern nodes
 //   commute: denoise ~ calibrate            # commutation link
-//   conditional: ingest                     # §8 conditional split mark
 //   delay: 2000                             # ms bound (required)
 //   loss: 0.05                              # loss-rate bound in [0,1)
 //   bandwidth: 300                          # kbps on service links

@@ -1,9 +1,8 @@
 // Deterministic fan-out of independent tasks over a fixed-size worker
 // pool — the parallel campaign runner's execution backbone.
 //
-// The pool follows the same mutex + condition-variable discipline as
-// runtime::BoundedQueue: a guarded batch descriptor plus two wait
-// conditions (work available / batch drained). It is intentionally *not*
+// The pool is one mutex guarding a batch descriptor plus two condition
+// variables (work available / batch drained). It is intentionally *not*
 // a general task scheduler: one batch of n index-addressed tasks runs at
 // a time, workers claim indices dynamically, and the caller blocks until
 // the batch drains. Determinism is the caller's contract — each task must

@@ -231,28 +231,6 @@ TEST_F(BcpTest, CheckOnlyModeMakesNoReservations) {
   EXPECT_EQ(scenario_->alloc->active_holds(), 0u);
 }
 
-TEST_F(BcpTest, ConditionalMarkedGraphComposes) {
-  // Conditional semantics are a runtime concern; composition provisions
-  // every alternative, so a marked diamond must compose like a plain one.
-  const auto base = spider::testing::easy_request(*scenario_);
-  service::CompositeRequest req = base;
-  service::FunctionGraph g;
-  g.add_function(base.graph.function(0));
-  g.add_function(base.graph.function(1));
-  g.add_function(base.graph.function(2));
-  g.add_function(base.graph.function(0));
-  g.add_dependency(0, 1);
-  g.add_dependency(0, 2);
-  g.add_dependency(1, 3);
-  g.add_dependency(2, 3);
-  g.mark_conditional(0);
-  req.graph = g;
-  ComposeResult r = engine_->compose(req, rng_);
-  ASSERT_TRUE(r.success);
-  EXPECT_TRUE(r.best.pattern.is_conditional(0));
-  for (HoldId h : r.best_holds) scenario_->alloc->release_hold(h);
-}
-
 TEST_F(BcpTest, QualityLevelMatchingFiltersCandidates) {
   // Deploy two fresh replicas of a new function: one accepts the source's
   // level, one demands more. Only the compatible one may ever be chosen.

@@ -186,18 +186,6 @@ TEST(FunctionGraph, PatternCapRespected) {
   EXPECT_LE(g.patterns(4).size(), 4u);
 }
 
-TEST(FunctionGraph, ConditionalMarksPersistThroughPatterns) {
-  FunctionGraph g = diamond();
-  g.mark_conditional(0);
-  EXPECT_TRUE(g.is_conditional(0));
-  EXPECT_FALSE(g.is_conditional(1));
-  g.mark_conditional(0);  // idempotent
-  EXPECT_EQ(g.conditionals().size(), 1u);
-  for (const auto& p : g.patterns()) {
-    EXPECT_TRUE(p.is_conditional(0));
-  }
-}
-
 ServiceGraph tiny_graph(std::vector<ComponentId> ids) {
   ServiceGraph g;
   g.pattern = make_linear_graph({1, 2});

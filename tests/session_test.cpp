@@ -3,6 +3,9 @@
 // (backup switch, reactive BCP, loss), and maintenance.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <limits>
+
 #include "core/session.hpp"
 #include "fault/fault.hpp"
 #include "test_scenario.hpp"
@@ -30,6 +33,36 @@ class SessionTest : public ::testing::Test {
         *scenario_->deployment, *scenario_->alloc, *scenario_->evaluator,
         *engine_, scenario_->sim, recovery);
     rng_.reseed(23);
+  }
+
+  // A request whose bounds make Eq. 2 prescribe at least one backup for
+  // any graph that qualifies. easy_request's bounds are so generous that
+  // this fixture's best graph uses 0.0225 of them (QoS ratio sum) plus
+  // 0.0108 of the failure bound: margin 0.0332, x aggressiveness 30 =
+  // 0.997, and floor(0.997) = 0 backups. Here the delay bound is 20x a
+  // floor no composition can beat: overlay routes are shortest paths, so
+  // a chain's links sum to at least d(source, dest), and each node adds
+  // at least its function's fastest live replica. Every qualified graph
+  // then has delay / bound >= 1/20, so margin >= 0.05 and
+  // gamma >= floor(30 x 0.05) = floor(1.5) = 1 (capped by C - 1, so the
+  // pool needs a second qualified graph).
+  service::CompositeRequest backed_request() {
+    auto req = spider::testing::easy_request(*scenario_);
+    auto& deployment = *scenario_->deployment;
+    double floor_ms =
+        deployment.overlay().route(req.source, req.dest)->delay_ms;
+    for (service::FnNode n = 0; n < req.graph.node_count(); ++n) {
+      double fastest = std::numeric_limits<double>::infinity();
+      for (auto id : deployment.replicas_oracle(req.graph.function(n))) {
+        if (deployment.component_alive(id)) {
+          fastest =
+              std::min(fastest, deployment.component(id).perf.delay_ms());
+        }
+      }
+      floor_ms += fastest;
+    }
+    req.qos_req = service::Qos::delay_loss(20.0 * floor_ms, 1.0);
+    return req;
   }
 
   SessionId compose_and_establish(const service::CompositeRequest& req) {
@@ -162,14 +195,12 @@ TEST_F(SessionTest, SelectBackupsPrefersOverlap) {
 }
 
 TEST_F(SessionTest, PeerFailureTriggersBackupSwitch) {
-  auto req = spider::testing::easy_request(*scenario_);
+  auto req = backed_request();
   const SessionId id = compose_and_establish(req);
   ASSERT_NE(id, kInvalidSession);
   const ServiceGraph* active = manager_->active_graph(id);
   ASSERT_NE(active, nullptr);
-  if (manager_->backup_count_of(id) == 0) {
-    GTEST_SKIP() << "no backups selected for this seed";
-  }
+  ASSERT_GE(manager_->backup_count_of(id), 1u);
   const PeerId victim = active->mapping[0].host;
   scenario_->deployment->kill_peer(victim);
   auto outcomes = manager_->on_peer_failed(victim, rng_);
@@ -226,11 +257,10 @@ TEST_F(SessionTest, ReactiveRecoveryWhenProactiveDisabled) {
 }
 
 TEST_F(SessionTest, MaintenancePrunesDeadBackups) {
-  auto req = spider::testing::easy_request(*scenario_);
+  auto req = backed_request();
   const SessionId id = compose_and_establish(req);
   ASSERT_NE(id, kInvalidSession);
-  const std::size_t before = manager_->backup_count_of(id);
-  if (before == 0) GTEST_SKIP() << "no backups for this seed";
+  ASSERT_GE(manager_->backup_count_of(id), 1u);
   manager_->run_maintenance();
   EXPECT_GT(manager_->stats().maintenance_messages, 0u);
   // Backups survive maintenance while everything is alive.
